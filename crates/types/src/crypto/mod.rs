@@ -1,7 +1,10 @@
 //! Cryptographic primitives.
 //!
-//! * [`sha256`] — a from-scratch, pure-Rust SHA-256 (FIPS 180-4), the hash
-//!   underlying all content addressing in the system.
+//! * [`sha256`] — a from-scratch SHA-256 (FIPS 180-4), the hash underlying
+//!   all content addressing in the system. Blocks are compressed by a
+//!   portable pure-Rust reference kernel or, when the CPU has the x86_64 SHA
+//!   extensions, by a SHA-NI kernel chosen at run time; both give identical
+//!   output, and [`sha256_block_count`] counts compressions whichever ran.
 //! * [`Keypair`], [`PublicKey`], [`Signature`] — a simulation-grade
 //!   signature scheme (see the type docs for the substitution rationale).
 //! * [`SignaturePolicy`], [`AggregateSignature`] — the checkpoint signature

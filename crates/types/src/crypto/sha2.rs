@@ -1,8 +1,17 @@
-//! Pure-Rust SHA-256 (FIPS 180-4).
+//! SHA-256 (FIPS 180-4) with two compression kernels.
 //!
-//! Implemented from the specification so the workspace has no dependency on
-//! external hashing crates. Validated against the official FIPS/NIST test
-//! vectors in the unit tests below.
+//! The padding and block streaming are written from the specification so
+//! the workspace has no dependency on external hashing crates. Each 64-byte
+//! block goes through one private `compress`, which dispatches to one of two
+//! kernels with identical output:
+//!
+//! * a portable pure-Rust kernel, the reference and the fallback;
+//! * on x86_64, a kernel on the SHA extensions (`sha256rnds2`,
+//!   `sha256msg1/2`), chosen at run time when the CPU reports them.
+//!
+//! [`sha256_block_count`] counts compressions whichever kernel ran. The
+//! unit tests below check the FIPS/NIST vectors through the dispatcher and
+//! drive both kernels against each other.
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -24,10 +33,10 @@ const H0: [u32; 8] = [
 ];
 
 /// Process-wide count of compression-function invocations (one per 64-byte
-/// block, padding included). The counter is a pure diagnostic — it measures
-/// hashing *work* deterministically, independent of machine speed — used by
-/// the `msg_pipeline` speedup guard the same way the state commitment's
-/// `bytes_hashed` counter backs the `state_root` guard.
+/// block, padding included, whichever kernel ran). The counter is a pure
+/// diagnostic — it measures hashing *work* deterministically, independent of
+/// machine speed — used by the `msg_pipeline` speedup guard the same way the
+/// state commitment's `bytes_hashed` counter backs the `state_root` guard.
 static BLOCKS: core::sync::atomic::AtomicU64 = core::sync::atomic::AtomicU64::new(0);
 
 /// Total SHA-256 blocks compressed by this process so far.
@@ -51,28 +60,55 @@ pub fn sha256_block_count() -> u64 {
 /// assert_eq!(d[31], 0x55);
 /// ```
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut state = H0;
+    digest(&[data], compress)
+}
 
-    // Message schedule is processed block by block over the padded message:
-    // data || 0x80 || zeros || (bit length as big-endian u64).
-    let bit_len = (data.len() as u64).wrapping_mul(8);
+/// Computes SHA-256 over the concatenation of several byte strings without
+/// materializing the concatenation.
+pub(crate) fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
+    digest(parts, compress)
+}
+
+/// SHA-256 of the concatenation of `parts`, compressing each block with
+/// `compress`.
+///
+/// The parts stream through one 64-byte block buffer; whole blocks of a part
+/// go to `compress` without being copied. The padded message is
+/// `data || 0x80 || zeros || (bit length as big-endian u64)`.
+fn digest(parts: &[&[u8]], mut compress: impl FnMut(&mut [u32; 8], &[u8; 64])) -> [u8; 32] {
+    let mut state = H0;
     let mut block = [0u8; 64];
-    let mut chunks = data.chunks_exact(64);
-    for chunk in &mut chunks {
-        block.copy_from_slice(chunk);
-        compress(&mut state, &block);
+    // Bytes waiting in `block`; always below 64 between parts.
+    let mut pending = 0;
+    let mut len = 0u64;
+    for mut part in parts.iter().copied() {
+        len = len.wrapping_add(part.len() as u64);
+        if pending > 0 {
+            let take = part.len().min(64 - pending);
+            block[pending..pending + take].copy_from_slice(&part[..take]);
+            pending += take;
+            part = &part[take..];
+            if pending < 64 {
+                continue;
+            }
+            compress(&mut state, &block);
+        }
+        let (whole, rest) = part.as_chunks::<64>();
+        for chunk in whole {
+            compress(&mut state, chunk);
+        }
+        block[..rest.len()].copy_from_slice(rest);
+        pending = rest.len();
     }
 
-    let rem = chunks.remainder();
-    block[..rem.len()].copy_from_slice(rem);
-    block[rem.len()] = 0x80;
-    block[rem.len() + 1..].fill(0);
-    if rem.len() + 1 > 56 {
+    block[pending] = 0x80;
+    block[pending + 1..].fill(0);
+    if pending + 1 > 56 {
         // Length field does not fit; it goes into an extra block.
         compress(&mut state, &block);
         block.fill(0);
     }
-    block[56..].copy_from_slice(&bit_len.to_be_bytes());
+    block[56..].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
     compress(&mut state, &block);
 
     let mut out = [0u8; 32];
@@ -82,19 +118,45 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     out
 }
 
-/// Computes SHA-256 over the concatenation of several byte strings without
-/// materializing the concatenation.
-pub(crate) fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in parts {
-        buf.extend_from_slice(p);
-    }
-    sha256(&buf)
-}
-
+/// The compression function every digest runs: counts the block, then runs
+/// the kernel this CPU supports.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     BLOCKS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+    Kernel::detect().compress(state, block);
+}
+
+/// A SHA-256 compression kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The pure-Rust reference kernel; runs everywhere.
+    Portable,
+    /// The SHA-extensions kernel, with proof that the CPU supports it.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(shani::Detected),
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU supports. `std` caches the CPU feature
+    /// bits, so this costs a few loads after the first call.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = shani::detect() {
+            return Kernel::ShaNi(cpu);
+        }
+        Kernel::Portable
+    }
+
+    /// Compresses one block into `state` (FIPS 180-4 §6.2.2 steps 1–4).
+    fn compress(self, state: &mut [u32; 8], block: &[u8; 64]) {
+        match self {
+            Kernel::Portable => compress_portable(state, block),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi(cpu) => cpu.compress(state, block),
+        }
+    }
+}
+
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -140,9 +202,130 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// The x86_64 SHA-extensions kernel.
+///
+/// `sha256rnds2` runs two rounds on the working variables held as two
+/// vectors, ABEF and CDGH; `sha256msg1`/`sha256msg2` extend the message
+/// schedule four words at a time. The layout follows Intel's "Intel SHA
+/// Extensions" white paper (Gulley et al., 2013).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// Proof that this CPU has every feature [`compress`] enables. Only
+    /// [`detect`] makes one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Detected(());
+
+    /// A [`Detected`] when the CPU reports SHA, SSE2, SSSE3 and SSE4.1.
+    pub(super) fn detect() -> Option<Detected> {
+        let supported = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        supported.then_some(Detected(()))
+    }
+
+    impl Detected {
+        /// Compresses one block into `state` on the SHA extensions.
+        #[allow(unsafe_code)]
+        pub(super) fn compress(self, state: &mut [u32; 8], block: &[u8; 64]) {
+            // SAFETY: `compress` only needs its target features present.
+            // `self` exists only because `detect` saw `sha`, `sse2`, `ssse3`
+            // and `sse4.1` through `is_x86_feature_detected!`.
+            unsafe { compress(state, block) }
+        }
+    }
+
+    /// Lanes 0..4 hold `w[0..4]`.
+    #[target_feature(enable = "sse2")]
+    fn lanes(w: [u32; 4]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    /// Message words `4q..4q + 4` of `block`, big-endian, word `4q` in lane 0.
+    #[target_feature(enable = "sse2,ssse3")]
+    fn message_quad(block: &[u8; 64], q: usize) -> __m128i {
+        let bytes = u128::from_le_bytes(block.as_chunks::<16>().0[q]);
+        let v = _mm_set_epi64x((bytes >> 64) as i64, bytes as i64);
+        // Reverse the bytes of each 32-bit lane.
+        _mm_shuffle_epi8(
+            v,
+            _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203),
+        )
+    }
+
+    /// Schedule words `4q..4q + 4` from the four quads before them,
+    /// oldest first.
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        // W[t-16] + σ0(W[t-15]) + W[t-7], then + σ1(W[t-2]).
+        let x = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(x, w3)
+    }
+
+    /// Rounds `4q..4q + 4` with schedule words `w`.
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, q: usize) {
+        let wk = _mm_add_epi32(w, lanes(K.as_chunks::<4>().0[q]));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let dcba = lanes([state[0], state[1], state[2], state[3]]);
+        let hgfe = lanes([state[4], state[5], state[6], state[7]]);
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let mut w0 = message_quad(block, 0);
+        let mut w1 = message_quad(block, 1);
+        let mut w2 = message_quad(block, 2);
+        let mut w3 = message_quad(block, 3);
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for q in (4..16).step_by(4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, q);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, q + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, q + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, q + 3);
+        }
+
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        *state = [
+            _mm_extract_epi32(dcba, 0) as u32,
+            _mm_extract_epi32(dcba, 1) as u32,
+            _mm_extract_epi32(dcba, 2) as u32,
+            _mm_extract_epi32(dcba, 3) as u32,
+            _mm_extract_epi32(hgfe, 0) as u32,
+            _mm_extract_epi32(hgfe, 1) as u32,
+            _mm_extract_epi32(hgfe, 2) as u32,
+            _mm_extract_epi32(hgfe, 3) as u32,
+        ];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn hex(digest: [u8; 32]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -204,5 +387,84 @@ mod tests {
     fn concat_matches_plain_hash() {
         assert_eq!(sha256_concat(&[b"ab", b"c"]), sha256(b"abc"));
         assert_eq!(sha256_concat(&[]), sha256(b""));
+    }
+
+    #[test]
+    fn split_parts_hash_like_one_and_compress_the_same_blocks() {
+        let mut rng = StdRng::seed_from_u64(0x5ec7);
+        let mut data = vec![0u8; 700];
+        rng.fill_bytes(&mut data);
+        for _ in 0..500 {
+            let len = rng.gen_range(0..=data.len());
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0..6usize))
+                .map(|_| rng.gen_range(0..=len))
+                .collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            let mut blocks = 0;
+            let streamed = digest(&parts, |state, block| {
+                blocks += 1;
+                compress_portable(state, block);
+            });
+            assert_eq!(streamed, sha256(&data[..len]), "len {len}");
+            // One block per 64 bytes of message, 0x80 byte and length field.
+            assert_eq!(blocks, (len + 9).div_ceil(64), "len {len}");
+        }
+    }
+
+    /// Whether this CPU reports the features the SHA-extensions kernel
+    /// enables, read independently of the dispatcher.
+    fn cpu_has_sha_extensions() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    #[test]
+    fn kernels_agree() {
+        let chosen = Kernel::detect();
+        if !cpu_has_sha_extensions() {
+            assert_eq!(chosen, Kernel::Portable, "no SHA extensions on this CPU");
+            return;
+        }
+        assert_ne!(
+            chosen,
+            Kernel::Portable,
+            "SHA extensions present but unused"
+        );
+
+        let mut rng = StdRng::seed_from_u64(0x5a256);
+        for _ in 0..4096 {
+            let mut state = [0u32; 8];
+            state.iter_mut().for_each(|w| *w = rng.next_u32());
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let (mut reference, mut fast) = (state, state);
+            Kernel::Portable.compress(&mut reference, &block);
+            chosen.compress(&mut fast, &block);
+            assert_eq!(fast, reference, "state {state:08x?} block {block:02x?}");
+        }
+
+        let through = |kernel: Kernel, data: &[u8]| digest(&[data], |s, b| kernel.compress(s, b));
+        let mut data = vec![0u8; 8 << 10];
+        rng.fill_bytes(&mut data);
+        let random_lens = (0..64).map(|_| rng.gen_range(0..=data.len()));
+        for len in (0..=257).chain(random_lens) {
+            let data = &data[..len];
+            assert_eq!(
+                through(chosen, data),
+                through(Kernel::Portable, data),
+                "len {len}"
+            );
+        }
     }
 }

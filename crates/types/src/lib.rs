@@ -10,10 +10,10 @@
 //! * [`TokenAmount`] — checked, fixed-point native-token arithmetic.
 //! * [`Cid`] — content identifiers derived from SHA-256 digests of canonical
 //!   encodings, used to address checkpoints, cross-message groups, and state.
-//! * [`crypto`] — a pure-Rust SHA-256 implementation (validated against
-//!   FIPS 180-4 vectors), a simulation-grade signature scheme, and the
-//!   multi-signature / threshold signature policies used by checkpoint
-//!   validation.
+//! * [`crypto`] — a SHA-256 implementation (validated against FIPS 180-4
+//!   vectors) with a portable kernel and a runtime-dispatched SHA-NI
+//!   kernel, a simulation-grade signature scheme, and the multi-signature /
+//!   threshold signature policies used by checkpoint validation.
 //! * [`merkle`] — binary Merkle trees with membership proofs, used for
 //!   cross-message metadata (`CrossMsgMeta`) digests and checkpoint children
 //!   trees.
@@ -35,7 +35,10 @@
 //! assert!(root.is_ancestor_of(&b));
 //! ```
 
-#![forbid(unsafe_code)]
+// The one unsafe block calls the SHA-extensions SHA-256 kernel after CPU
+// feature detection (`crypto::sha2::shani`); everything else is safe code.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod address;
