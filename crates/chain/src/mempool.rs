@@ -24,6 +24,12 @@
 //! real memory bound: the pool never holds more admitted bytes than that,
 //! no matter how hard it is flooded.
 //!
+//! A `(sender, nonce)` slot holds one message, and the first one admitted
+//! wins it: a different message for an occupied slot is refused as a
+//! [`PushOutcome::Duplicate`] until the slot empties (inclusion or
+//! eviction). Replacing the pending message would orphan its bytes and
+//! dedup entry.
+//!
 //! Eviction picks the globally lowest-priority *lane tail* (the
 //! highest-nonce message of some sender), ordered by fee ascending with the
 //! message CID as the deterministic tie-break. Evicting tails (never heads)
@@ -31,12 +37,25 @@
 //! cannot strand an executable message behind an evicted one. The incoming
 //! message itself participates: if it *is* the lowest-priority tail, it is
 //! the one refused.
+//!
+//! # Cost
+//!
+//! Every operation is incremental. The pool keeps an ordered index of lane
+//! tails (the eviction victim is its first entry), a running message
+//! count, the dedup set bucketed by admission epoch, and each entry's
+//! suffix-max fee. Admission, eviction and inclusion cost
+//! `O(log pending)` per message, plus the suffix-max repair: it walks back
+//! from the changed position only while values change, so its worst case
+//! is a lane with strictly rising fees, which it re-walks whole. Advancing
+//! the epoch touches only the expired buckets. Selection costs
+//! `O((senders + selected) · log senders)`.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 use hc_actors::{CrossMsg, CrossMsgMeta};
 use hc_state::{SealedMessage, SigCache, SignedMessage};
-use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId};
+use hc_types::{Address, ChainEpoch, Cid, Nonce, SubnetId};
 
 /// How many epochs an admitted CID stays in the dedup set after its
 /// admission epoch. Replays older than this are caught by account-nonce
@@ -72,7 +91,7 @@ pub struct MempoolStats {
     /// later admission evicted them).
     pub admitted: u64,
     /// Messages refused because their CID was already admitted within the
-    /// dedup horizon.
+    /// dedup horizon, or their `(sender, nonce)` slot is already taken.
     pub rejected_duplicate: u64,
     /// Messages refused because their signature did not verify.
     pub rejected_invalid: u64,
@@ -108,7 +127,8 @@ impl MempoolStats {
 pub enum PushOutcome {
     /// Verified and admitted (possibly evicting lower-priority messages).
     Admitted,
-    /// Refused: CID already admitted within the dedup horizon.
+    /// Refused: CID already admitted within the dedup horizon, or another
+    /// message already holds the `(sender, nonce)` slot.
     Duplicate,
     /// Refused: signature verification failed.
     Invalid,
@@ -129,7 +149,35 @@ impl PushOutcome {
 struct PoolEntry {
     msg: SealedMessage,
     fee: u64,
-    bytes: usize,
+    /// Highest fee at or after this entry in its lane: the suffix max that
+    /// prices this lane position in [`Mempool::select`].
+    best: u64,
+}
+
+impl PoolEntry {
+    /// This entry's key in the tail index, were it its lane's tail.
+    fn tail_key(&self, sender: Address) -> (u64, Cid, Address) {
+        (self.fee, self.msg.msg_cid(), sender)
+    }
+}
+
+/// One sender's pending messages by nonce.
+type Lane = BTreeMap<Nonce, PoolEntry>;
+
+/// Re-derives the suffix-max fee of the entries below `nonce` after the
+/// lane changed at `nonce`. Entries at or above `nonce` must already be
+/// right. The walk stops at the first unchanged value: everything below it
+/// depends only on it.
+fn repair_suffix_max(lane: &mut Lane, nonce: Nonce) {
+    let mut next = lane.range(nonce..).next().map_or(0, |(_, e)| e.best);
+    for (_, entry) in lane.range_mut(..nonce).rev() {
+        let best = entry.fee.max(next);
+        if best == entry.best {
+            break;
+        }
+        entry.best = best;
+        next = best;
+    }
 }
 
 /// The internal pool of pending signed user messages.
@@ -137,15 +185,25 @@ struct PoolEntry {
 pub struct Mempool {
     /// Per-sender nonce lanes holding sealed messages (CIDs derived at
     /// admission travel into block assembly and execution) plus their
-    /// admission fee and byte accounting.
-    by_sender: BTreeMap<Address, BTreeMap<Nonce, PoolEntry>>,
+    /// admission fee and suffix-max fee. Empty lanes are dropped.
+    by_sender: BTreeMap<Address, Lane>,
+    /// Every lane's tail (highest-nonce entry) keyed by eviction priority
+    /// `(fee, message CID, sender)`: the first key is the eviction victim.
+    tails: BTreeSet<(u64, Cid, Address)>,
+    /// Pending messages across all lanes.
+    pending: usize,
     /// Message CIDs already admitted, tagged with the chain epoch current
     /// at admission (dedup with bounded memory — see
     /// [`Mempool::advance_epoch`]).
     seen: HashMap<Cid, ChainEpoch>,
+    /// The CIDs admitted in each epoch, oldest epoch first. A CID may have
+    /// left `seen` since (evicted) or been admitted again in a later
+    /// epoch; pruning skips it unless `seen` still tags it with the
+    /// bucket's epoch.
+    seen_buckets: VecDeque<(ChainEpoch, Vec<Cid>)>,
     /// Admission-control configuration.
     config: MempoolConfig,
-    /// Bytes currently held (sum of entry `bytes`).
+    /// Bytes currently held (sum of the entries' signed wire lengths).
     occupancy_bytes: usize,
     /// The chain epoch the pool currently considers "now".
     current_epoch: ChainEpoch,
@@ -168,7 +226,10 @@ impl Default for Mempool {
     fn default() -> Self {
         Mempool {
             by_sender: BTreeMap::new(),
+            tails: BTreeSet::new(),
+            pending: 0,
             seen: HashMap::new(),
+            seen_buckets: VecDeque::new(),
             config: MempoolConfig::default(),
             occupancy_bytes: 0,
             current_epoch: ChainEpoch::GENESIS,
@@ -228,18 +289,27 @@ impl Mempool {
 
     /// Admits a message with a priority fee bid.
     ///
-    /// The dedup check runs *before* signature verification: a replayed
+    /// The dedup checks run *before* signature verification: a replayed
     /// duplicate costs one memoized CID read, not a full verification.
     /// Deduplication keys on the message CID — what the signature covers
     /// and receipts are keyed by — so a replay with a mangled signature is
-    /// refused just like an exact duplicate. `seen` is only populated by
-    /// *verified* admissions: an attacker cannot block a valid message by
-    /// pre-sending a forgery of it. Messages evicted by admission control
-    /// are forgotten by the dedup set, so a later re-submission (when the
-    /// pool has drained) is admitted again.
+    /// refused just like an exact duplicate; right after it, a message for
+    /// a `(sender, nonce)` slot that is already pending is refused (first
+    /// seen wins). `seen` is only populated by *verified* admissions: an
+    /// attacker cannot block a valid message by pre-sending a forgery of
+    /// it. Messages evicted by admission control are forgotten by the
+    /// dedup set, so a later re-submission (when the pool has drained) is
+    /// admitted again.
     pub fn push_sealed_with_fee(&mut self, msg: SealedMessage, fee: u64) -> PushOutcome {
         let cid = msg.msg_cid();
-        if self.seen.contains_key(&cid) {
+        let from = msg.message().from;
+        let nonce = msg.message().nonce;
+        if self.seen.contains_key(&cid)
+            || self
+                .by_sender
+                .get(&from)
+                .is_some_and(|lane| lane.contains_key(&nonce))
+        {
             self.stats.rejected_duplicate += 1;
             return PushOutcome::Duplicate;
         }
@@ -251,72 +321,102 @@ impl Mempool {
             self.stats.rejected_invalid += 1;
             return PushOutcome::Invalid;
         }
-        let bytes = msg.signed().canonical_bytes().len();
-        let from = msg.message().from;
-        let nonce = msg.message().nonce;
 
         // Insert first, then restore the byte budget by evicting the
         // globally lowest-priority lane tails. The incoming message
         // competes on equal terms: if it is itself the lowest-priority
         // tail it is the one refused, which is what makes the admitted
         // set independent of arrival order for equal-size messages.
-        self.seen.insert(cid, self.current_epoch);
-        self.occupancy_bytes += bytes;
-        self.by_sender
-            .entry(from)
-            .or_default()
-            .insert(nonce, PoolEntry { msg, fee, bytes });
-
+        self.insert(msg, fee);
         let mut survived = true;
         while self.config.capacity_bytes > 0 && self.occupancy_bytes > self.config.capacity_bytes {
-            let (victim_addr, victim_nonce, victim_cid) = self
-                .lowest_priority_tail()
+            let &(_, victim_cid, victim_addr) = self
+                .tails
+                .first()
                 .expect("over-budget pool has at least one tail");
             if victim_cid == cid {
                 survived = false;
             } else {
                 self.stats.evicted += 1;
             }
-            self.evict(victim_addr, victim_nonce, victim_cid);
+            self.evict_tail(victim_addr, victim_cid);
         }
         if !survived {
             self.stats.rejected_full += 1;
             return PushOutcome::Full;
         }
+        self.seen.insert(cid, self.current_epoch);
+        match self.seen_buckets.back_mut() {
+            Some((epoch, cids)) if *epoch == self.current_epoch => cids.push(cid),
+            _ => self.seen_buckets.push_back((self.current_epoch, vec![cid])),
+        }
         self.stats.admitted += 1;
         *self.activity.entry(from).or_default() += 1;
         self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.occupancy_bytes as u64);
-        self.stats.high_water_msgs = self.stats.high_water_msgs.max(self.len() as u64);
+        self.stats.high_water_msgs = self.stats.high_water_msgs.max(self.pending as u64);
         PushOutcome::Admitted
     }
 
-    /// The lowest-priority lane tail: among every sender's highest-nonce
-    /// entry, the one with the lowest `(fee, msg CID)`.
-    fn lowest_priority_tail(&self) -> Option<(Address, Nonce, Cid)> {
-        self.by_sender
-            .iter()
-            .filter_map(|(addr, lane)| {
-                lane.iter()
-                    .next_back()
-                    .map(|(nonce, e)| ((e.fee, e.msg.msg_cid()), (*addr, *nonce)))
-            })
-            .min_by_key(|(priority, _)| *priority)
-            .map(|((_, cid), (addr, nonce))| (addr, nonce, cid))
+    /// Puts `msg` into its free `(sender, nonce)` slot, keeping the
+    /// counters, the tail index and the lane's suffix maxima current.
+    fn insert(&mut self, msg: SealedMessage, fee: u64) {
+        let (sender, nonce) = (msg.message().from, msg.message().nonce);
+        let lane = self.by_sender.entry(sender).or_default();
+        let successor = lane.range(nonce..).next();
+        let entry = PoolEntry {
+            best: fee.max(successor.map_or(0, |(_, e)| e.best)),
+            msg,
+            fee,
+        };
+        if successor.is_none() {
+            if let Some((_, old_tail)) = lane.last_key_value() {
+                self.tails.remove(&old_tail.tail_key(sender));
+            }
+            self.tails.insert(entry.tail_key(sender));
+        }
+        self.occupancy_bytes += entry.msg.signed_len();
+        self.pending += 1;
+        lane.insert(nonce, entry);
+        repair_suffix_max(lane, nonce);
     }
 
-    /// Removes one entry, un-remembering its CID from the dedup set (an
-    /// evicted message may be legitimately re-submitted later).
-    fn evict(&mut self, addr: Address, nonce: Nonce, cid: Cid) {
-        if let Some(lane) = self.by_sender.get_mut(&addr) {
-            if let Some(entry) = lane.remove(&nonce) {
-                self.occupancy_bytes -= entry.bytes;
-            }
-            if lane.is_empty() {
-                self.by_sender.remove(&addr);
+    /// Takes the entry at `(sender, nonce)` out of the pool, if pending,
+    /// keeping the counters, the tail index and the lane's suffix maxima
+    /// current, and dropping the lane if it empties.
+    fn remove(&mut self, sender: Address, nonce: Nonce) {
+        let Some(lane) = self.by_sender.get_mut(&sender) else {
+            return;
+        };
+        let Some(entry) = lane.remove(&nonce) else {
+            return;
+        };
+        self.occupancy_bytes -= entry.msg.signed_len();
+        self.pending -= 1;
+        let tail = lane.last_key_value();
+        if tail.is_none_or(|(tail_nonce, _)| *tail_nonce < nonce) {
+            self.tails.remove(&entry.tail_key(sender));
+            if let Some((_, new_tail)) = tail {
+                self.tails.insert(new_tail.tail_key(sender));
             }
         }
+        if lane.is_empty() {
+            self.by_sender.remove(&sender);
+        } else {
+            repair_suffix_max(lane, nonce);
+        }
+    }
+
+    /// Evicts `sender`'s lane tail (message CID `cid`), un-remembering the
+    /// CID from the dedup set (an evicted message may be legitimately
+    /// re-submitted later).
+    fn evict_tail(&mut self, sender: Address, cid: Cid) {
+        let nonce = *self.by_sender[&sender]
+            .last_key_value()
+            .expect("indexed tails belong to non-empty lanes")
+            .0;
+        self.remove(sender, nonce);
         self.seen.remove(&cid);
-        self.evicted_log.push((addr, nonce));
+        self.evicted_log.push((sender, nonce));
     }
 
     /// Drains the `(sender, nonce)` pairs dropped by admission control
@@ -333,15 +433,26 @@ impl Mempool {
     /// `seen` set grows without bound for the lifetime of the node; with
     /// it, replays inside the horizon are still refused here while older
     /// replays fall through to the account-nonce check at execution time
-    /// (stale nonces never execute).
+    /// (stale nonces never execute). Only the expired epoch buckets are
+    /// visited.
     pub fn advance_epoch(&mut self, epoch: ChainEpoch) {
         if epoch <= self.current_epoch {
             return;
         }
         self.current_epoch = epoch;
         let horizon = self.config.seen_horizon_epochs;
-        self.seen
-            .retain(|_, admitted| epoch.since(*admitted) <= horizon);
+        while self
+            .seen_buckets
+            .front()
+            .is_some_and(|(admitted, _)| epoch.since(*admitted) > horizon)
+        {
+            let (admitted, cids) = self.seen_buckets.pop_front().expect("checked");
+            for cid in cids {
+                if self.seen.get(&cid) == Some(&admitted) {
+                    self.seen.remove(&cid);
+                }
+            }
+        }
     }
 
     /// Number of CIDs currently held for dedup (testing/diagnostics).
@@ -349,14 +460,20 @@ impl Mempool {
         self.seen.len()
     }
 
+    /// Every lane tail as `(fee, message CID, sender)`, lowest eviction
+    /// priority first (testing/diagnostics).
+    pub fn tails(&self) -> impl Iterator<Item = (u64, Cid, Address)> + '_ {
+        self.tails.iter().copied()
+    }
+
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        self.by_sender.values().map(BTreeMap::len).sum()
+        self.pending
     }
 
     /// Returns `true` if no messages are pending.
     pub fn is_empty(&self) -> bool {
-        self.by_sender.values().all(BTreeMap::is_empty)
+        self.pending == 0
     }
 
     /// Bytes currently held (canonical wire bytes of pending messages).
@@ -397,44 +514,29 @@ impl Mempool {
     /// the auction instead of starving behind them. Ties across lanes
     /// break on the current lane-head's message CID (lowest first).
     ///
-    /// Runs in `O(pending + (senders + selected) · log senders)` per call
-    /// via one suffix-max sweep plus a max-heap over lane heads.
+    /// Runs in `O((senders + selected) · log senders)` per call: the suffix
+    /// maxima are kept current by every mutation, so the max-heap starts
+    /// from the lane heads and re-arms a lane with its successor after
+    /// each pop.
     pub fn select(&self, max: usize) -> Vec<SealedMessage> {
-        // Precompute each lane's suffix-max fee so every head exposes the
-        // best fee still gated behind it; the heap holds lane heads keyed
-        // by (priority, reversed CID) and re-arms a lane with its
-        // successor after each pop.
-        let lanes: Vec<Vec<(u64, &PoolEntry)>> = self
+        let mut lanes: Vec<_> = self
             .by_sender
             .values()
-            .map(|lane| {
-                let mut entries: Vec<(u64, &PoolEntry)> =
-                    lane.values().map(|e| (e.fee, e)).collect();
-                let mut best = 0u64;
-                for slot in entries.iter_mut().rev() {
-                    best = best.max(slot.0);
-                    slot.0 = best;
-                }
-                entries
-            })
+            .map(|lane| lane.values().peekable())
             .collect();
-        let mut cursors: Vec<usize> = vec![0; lanes.len()];
-        let mut heap: BinaryHeap<(u64, std::cmp::Reverse<Cid>, usize)> = lanes
-            .iter()
+        let key = |lane: usize, e: &PoolEntry| (e.best, Reverse(e.msg.msg_cid()), lane);
+        let mut heap: BinaryHeap<(u64, Reverse<Cid>, usize)> = lanes
+            .iter_mut()
             .enumerate()
-            .filter_map(|(i, lane)| {
-                lane.first()
-                    .map(|(pri, e)| (*pri, std::cmp::Reverse(e.msg.msg_cid()), i))
-            })
+            .filter_map(|(i, lane)| lane.peek().map(|e| key(i, e)))
             .collect();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(max.min(self.pending));
         while out.len() < max {
             let Some((_, _, i)) = heap.pop() else { break };
-            let (_, entry) = lanes[i][cursors[i]];
+            let entry = lanes[i].next().expect("the heap holds live lane heads");
             out.push(entry.msg.clone());
-            cursors[i] += 1;
-            if let Some((pri, next)) = lanes[i].get(cursors[i]) {
-                heap.push((*pri, std::cmp::Reverse(next.msg.msg_cid()), i));
+            if let Some(next) = lanes[i].peek() {
+                heap.push(key(i, next));
             }
         }
         out
@@ -443,15 +545,10 @@ impl Mempool {
     /// Removes messages that were included in a committed block.
     pub fn remove_included<'a, I: IntoIterator<Item = &'a SealedMessage>>(&mut self, msgs: I) {
         for m in msgs {
-            if let Some(q) = self.by_sender.get_mut(&m.message().from) {
-                if let Some(entry) = q.remove(&m.message().nonce) {
-                    self.occupancy_bytes -= entry.bytes;
-                }
-            }
+            self.remove(m.message().from, m.message().nonce);
             // Keep `seen` so replays of the same CID stay excluded until
             // the dedup horizon passes (see `advance_epoch`).
         }
-        self.by_sender.retain(|_, q| !q.is_empty());
     }
 }
 
@@ -620,7 +717,7 @@ mod tests {
     use super::*;
     use hc_actors::HcAddress;
     use hc_state::{Message, Method};
-    use hc_types::{Keypair, SubnetId, TokenAmount};
+    use hc_types::{CanonicalEncode, Keypair, SubnetId, TokenAmount};
 
     fn kp(seed: u8) -> Keypair {
         let mut s = [0u8; 32];
@@ -681,6 +778,34 @@ mod tests {
         assert!(!pool.push(forged));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 1, "failed verdicts are not cached");
+    }
+
+    #[test]
+    fn taken_nonce_slot_is_first_seen_wins() {
+        let mut pool = Mempool::new();
+        let k = kp(9);
+        let first = SealedMessage::new(signed(100, 0, &k));
+        let mut other = signed(100, 0, &k);
+        other.message.to = Address::new(2);
+        other = other.message.sign(&k);
+        let second = SealedMessage::new(other);
+        assert_ne!(first.msg_cid(), second.msg_cid());
+        assert!(pool.push_sealed(first.clone()));
+        assert_eq!(
+            pool.push_sealed_with_fee(second.clone(), 9),
+            PushOutcome::Duplicate,
+            "a different message for a pending slot is refused"
+        );
+        let stats = pool.stats();
+        assert_eq!((stats.admitted, stats.rejected_duplicate), (1, 1));
+        assert_eq!((pool.len(), pool.seen_len()), (1, 1));
+        // Inclusion frees every admitted byte: nothing leaked.
+        let selected = pool.select(10);
+        assert_eq!(selected, vec![first]);
+        pool.remove_included(selected.iter());
+        assert_eq!((pool.len(), pool.occupancy_bytes()), (0, 0));
+        // Once the slot is free the other message may take it.
+        assert!(pool.push_sealed(second));
     }
 
     fn push_fee(pool: &mut Mempool, from: u64, nonce: u64, key: &Keypair, fee: u64) -> PushOutcome {

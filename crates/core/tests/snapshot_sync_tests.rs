@@ -1,5 +1,5 @@
-//! Snapshot state-sync: O(state) bootstrap for rejoining and recovering
-//! nodes, plus the recovery-path regression suite riding along.
+//! Snapshot state-sync: O(state) bootstrap for rejoining nodes, plus the
+//! recovery-path regression suite riding along.
 //!
 //! The trust argument under test: a snapshot-syncing node accepts chunk
 //! blobs only into a CID-verified staging store, installs the assembled
@@ -297,79 +297,4 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
     assert_eq!(w.rt.balance(&carol), whole(3));
     audit_escrow(&w.rt).unwrap();
     audit_quiescent(&w.rt).unwrap();
-}
-
-/// Recovery in snapshot mode fast-forwards an eligible subnet to its
-/// newest checkpoint anchor — appending the skipped prefix without
-/// re-execution, installing the anchored manifest, verifying it against
-/// the committed header — and lands on the same world as full replay,
-/// at a fraction of the hash work.
-#[test]
-fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
-    let device = InMemoryDevice::new();
-    let config = |mode: SyncMode| RuntimeConfig {
-        net: NetConfig {
-            jitter_ms: 0,
-            drop_rate: 0.0,
-            ..NetConfig::default()
-        },
-        persistence: PersistenceConfig::Durable(DurableOptions {
-            device: Arc::new(device.clone()),
-            wal: WalOptions::default(),
-            keep_manifests: 0,
-        }),
-        sync_mode: mode,
-        ..RuntimeConfig::default()
-    };
-    let sa = SaConfig {
-        checkpoint_period: 5,
-        ..SaConfig::default()
-    };
-    let mut w = build(config(SyncMode::Replay), sa);
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    drive_to_epoch(&mut w.rt, &w.child, 12);
-    w.rt.cross_transfer(&w.alice, &bob, whole(7)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    assert!(w.rt.checkpoint_anchor(&w.child).is_some());
-
-    let fingerprint = |rt: &HierarchyRuntime| {
-        let mut out = Vec::new();
-        for subnet in rt.subnets().cloned().collect::<Vec<_>>() {
-            let chain = rt.node(&subnet).unwrap().chain();
-            out.push((subnet, chain.len(), chain.head(), chain.head_epoch()));
-        }
-        out
-    };
-    let expected = fingerprint(&w.rt);
-    let expected_bob = w.rt.balance(&bob);
-    let alice = w.alice.clone();
-    let child = w.child.clone();
-    drop(w);
-
-    let before = hc_types::crypto::sha256_block_count();
-    let rt_replay = HierarchyRuntime::recover(config(SyncMode::Replay));
-    let replay_cost = hc_types::crypto::sha256_block_count() - before;
-    assert_eq!(fingerprint(&rt_replay), expected);
-    assert_eq!(rt_replay.balance(&bob), expected_bob);
-    drop(rt_replay);
-
-    let before = hc_types::crypto::sha256_block_count();
-    let mut rt_snap = HierarchyRuntime::recover(config(SyncMode::Snapshot));
-    let snapshot_cost = hc_types::crypto::sha256_block_count() - before;
-    assert_eq!(fingerprint(&rt_snap), expected, "fast-forward diverged");
-    assert_eq!(rt_snap.balance(&bob), expected_bob);
-    assert!(
-        snapshot_cost < replay_cost,
-        "fast-forward must hash less than full replay ({snapshot_cost} vs {replay_cost})"
-    );
-
-    // The fast-forwarded world keeps working: new cross-net value lands.
-    rt_snap.cross_transfer(&alice, &bob, whole(5)).unwrap();
-    rt_snap.run_until_quiescent(2_000).unwrap();
-    assert_eq!(rt_snap.balance(&bob), expected_bob + whole(5));
-    audit_escrow(&rt_snap).unwrap();
-    audit_quiescent(&rt_snap).unwrap();
-    let _ = child;
 }

@@ -34,8 +34,9 @@ use crate::message::{Message, SignedMessage};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SealedMessage {
     msg: SignedMessage,
+    /// Message CID plus the length of the encoding it was hashed from.
     #[serde(skip)]
-    msg_cid: OnceLock<Cid>,
+    msg_cid: OnceLock<(Cid, usize)>,
     #[serde(skip)]
     cid: OnceLock<Cid>,
 }
@@ -74,7 +75,21 @@ impl SealedMessage {
     /// CID of the message body (what the sender signs, what receipts are
     /// keyed by). Memoized.
     pub fn msg_cid(&self) -> Cid {
-        *self.msg_cid.get_or_init(|| self.msg.message.cid())
+        self.msg_memo().0
+    }
+
+    /// Length of the signed envelope's canonical encoding, without
+    /// re-encoding it: the message body's length, recorded when its CID is
+    /// derived, plus the fixed-size signature.
+    pub fn signed_len(&self) -> usize {
+        self.msg_memo().1 + Signature::ENCODED_LEN
+    }
+
+    fn msg_memo(&self) -> (Cid, usize) {
+        *self.msg_cid.get_or_init(|| {
+            let bytes = self.msg.message.canonical_bytes();
+            (Cid::digest(&bytes), bytes.len())
+        })
     }
 
     /// CID of the signed envelope (message + signature; what mempools dedup
@@ -155,6 +170,24 @@ mod tests {
         assert_eq!(cold, sealed);
         assert_eq!(warm, sealed);
         assert_eq!(cold.cid(), warm.cid());
+    }
+
+    #[test]
+    fn signed_len_matches_the_canonical_encoding() {
+        let mut put = sample();
+        put.message.method = Method::PutData {
+            key: b"key".to_vec(),
+            data: vec![7; 300],
+        };
+        for signed in [sample(), put] {
+            let want = signed.canonical_bytes().len();
+            // Cold: the length is recorded while the message CID is derived.
+            assert_eq!(SealedMessage::new(signed.clone()).signed_len(), want);
+            // Warm: the memo from an earlier CID read answers.
+            let sealed = SealedMessage::new(signed);
+            let _ = sealed.msg_cid();
+            assert_eq!(sealed.signed_len(), want);
+        }
     }
 
     #[test]

@@ -169,6 +169,10 @@ pub struct Signature {
 }
 
 impl Signature {
+    /// Length of every signature's canonical encoding: the 32-byte signer
+    /// key followed by the 32-byte tag.
+    pub const ENCODED_LEN: usize = 64;
+
     /// Constructs a signature value without signing.
     ///
     /// This exists so Byzantine behaviour can be modelled: an adversary can
