@@ -6,15 +6,19 @@
 //! block production entirely, while the finalized chain survives on the
 //! subnet's remaining peers (held here as `CrashedNode::peer_blocks`).
 //! Rejoin rebuilds the node from genesis via the recorded boot parameters
-//! (the PR 4 recovery path) and then enters a *catch-up* phase: the node
-//! publishes [`hc_net::ResolutionMsg::BlockPull`] requests on its own
-//! topic, peers answer with bounded [`hc_net::ResolutionMsg::BlockBatch`]
-//! replies, and each received block is re-validated and re-executed
-//! (`ReplayMode::CatchUp`) — a corrupt or stale batch cannot poison the
-//! node. Both legs of every round trip cross the simulated network, so
-//! partitions, loss, duplication, and reordering from the
-//! [`hc_net::FaultPlan`] all apply; lost requests are retried under the
-//! same capped-backoff [`hc_net::RetryPolicy`] as content resolution.
+//! (the same `genesis_node` constructor boot uses, with the restored
+//! mempool attached to the new node's signature cache) and then enters a
+//! *catch-up* phase: the node publishes
+//! [`hc_net::ResolutionMsg::BlockPull`] requests on its own topic, peers
+//! answer with bounded [`hc_net::ResolutionMsg::BlockBatch`] replies, and
+//! each received block is re-validated and re-executed
+//! (`ReplayMode::CatchUp`, the journal replay's own commit path) — a
+//! corrupt or stale batch cannot poison the node. Both legs of every
+//! round trip cross the simulated network, so partitions, loss,
+//! duplication, and reordering from the [`hc_net::FaultPlan`] all apply;
+//! lost requests are retried under the same capped-backoff
+//! [`hc_net::RetryPolicy`] as content resolution, one schedule
+//! (`publish_pull`) for the block and blob legs.
 //!
 //! Rejoin supports two bootstrap strategies ([`SyncMode`]): *replay*
 //! re-validates and re-executes every missed block from genesis, while
@@ -23,9 +27,11 @@
 //! requests answered by bounded [`hc_net::ResolutionMsg::BlobBatch`]
 //! replies, every chunk verified against its CID in a staging store and
 //! the assembled root verified against the consensus-committed block
-//! header at the anchor epoch — then replays only the post-checkpoint
-//! suffix. Both strategies run entirely through the faulty network under
-//! the same retry policy.
+//! header at the anchor epoch (`verified_snapshot`, shared with recovery
+//! fast-forward) — then advances past the covered blocks without executing
+//! them (`SubnetNode::advance_past_block`, as replay does) and replays only
+//! the post-checkpoint suffix. Both strategies run entirely through the
+//! faulty network under the same retry policy.
 //!
 //! Scheduled crashes ([`hc_net::CrashFault`] entries of the fault plan)
 //! are driven deterministically from the step loop by
@@ -33,19 +39,17 @@
 //! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`]
 //! directly.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use hc_actors::ScaConfig;
-use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
-use hc_consensus::{make_engine, ValidatorSet};
-use hc_net::{CrashFault, ResolutionMsg, Resolver, SubscriberId, BLOB_BATCH_CAP};
-use hc_state::{ChunkManifest, CidStore, ImplicitMsg, StateTree, VmEvent};
+use hc_chain::{Block, Mempool};
+use hc_consensus::make_engine;
+use hc_net::{CrashFault, ResolutionMsg, SubscriberId, BLOB_BATCH_CAP};
+use hc_state::{ChunkManifest, CidStore, VmEvent};
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
-use crate::node::{NodeStats, SubnetNode};
-use crate::persist::chain_log_name;
-use crate::runtime::{node_jitter_seed, node_rng, HierarchyRuntime, ReplayMode, RuntimeError};
-use hc_store::Wal;
+use crate::runtime::{
+    node_jitter_seed, verified_snapshot, HierarchyRuntime, ReplayMode, RuntimeError,
+};
 
 /// Blocks per [`hc_net::ResolutionMsg::BlockBatch`] reply. Deliberately
 /// small so a long outage takes several pull round trips to repair, each
@@ -321,54 +325,24 @@ impl HierarchyRuntime {
             self.boot_params.get(subnet).cloned().ok_or_else(|| {
                 RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
             })?;
-        let sca_config = ScaConfig {
-            checkpoint_period: sa_config.checkpoint_period,
-            ..self.config.sca.clone()
-        };
-        let mut chain = ChainStore::new(subnet.clone());
-        // On a durable device, reattach the subnet's block journal: the
-        // catch-up replay appends without re-journaling (the records are
-        // already on disk), and post-catch-up live blocks journal again.
-        if let Some(durable) = self.config.persistence.durable().cloned() {
-            let (wal, _) = Wal::open(durable.device.clone(), &chain_log_name(subnet), durable.wal);
-            chain.attach_wal(wal);
-        }
-        let sig_cache = Self::make_sig_cache(self.config.sig_cache_capacity);
-        let node = SubnetNode {
-            subnet_id: subnet.clone(),
-            tree: StateTree::genesis(subnet.clone(), sca_config, []),
-            chain,
+        let node = self.genesis_node(
+            subnet,
+            sa_config.checkpoint_period,
+            make_engine(sa_config.consensus, engine_params),
             // The mempool's content was replicated across the subnet's
             // peers; the restarted node re-syncs it. (Messages already in
             // replayed blocks were removed from this pool before the
             // crash, so nothing is double-proposed.)
-            mempool: crashed.mempool,
-            cross_pool: CrossMsgPool::new(),
-            engine: make_engine(sa_config.consensus, engine_params.clone()),
-            validators: ValidatorSet::default(),
-            validator_keys: Vec::new(),
-            resolver: Resolver::with_policy_seeded(
-                self.config.retry,
-                node_jitter_seed(self.config.seed, subnet),
-            ),
-            subscription: crashed.subscription,
+            crashed.mempool,
+            crashed.subscription,
             // Unschedulable until catch-up completes.
-            next_block_at_ms: u64::MAX,
-            next_epoch: ChainEpoch::new(1),
-            pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
-            tentative: BTreeMap::new(),
-            store: self.cid_store().clone(),
-            stats: NodeStats::default(),
-            // Fresh genesis stream; the catch-up replay burns one draw per
-            // missed block, realigning it with the subnet's history.
-            rng: node_rng(self.config.seed, subnet),
-            sig_cache,
-        };
+            u64::MAX,
+        );
         self.network.set_offline(crashed.subscription, false);
         self.nodes.insert(subnet.clone(), node);
+        // The catch-up replay appends the journaled blocks without
+        // re-journaling; post-catch-up live blocks journal again.
+        self.attach_chain_journal(subnet);
         self.refresh_validators(subnet);
         let pending_users: VecDeque<(ChainEpoch, Address)> = self
             .user_installs
@@ -435,11 +409,10 @@ impl HierarchyRuntime {
             let (fault, phase) = self.crash_plan[i].clone();
             match phase {
                 CrashPhase::Pending if self.now_ms >= fault.crash_at_ms => {
-                    let safe = self.nodes.contains_key(&fault.subnet)
-                        && !fault.subnet.is_root()
-                        && !self.nodes.keys().any(|k| fault.subnet.is_ancestor_of(k));
-                    if safe {
-                        self.crash_node(&fault.subnet)?;
+                    // `crash_node` refuses exactly the unsafe cases: an
+                    // unknown or already-crashed subnet, the root, and a
+                    // subnet with live descendants.
+                    if self.crash_node(&fault.subnet).is_ok() {
                         self.crash_plan[i].1 = CrashPhase::Down;
                     } else {
                         self.chaos.crashes_skipped += 1;
@@ -486,10 +459,7 @@ impl HierarchyRuntime {
                     members.sort_by_key(|s| std::cmp::Reverse(s.depth()));
                     self.chaos.region_outages += 1;
                     for subnet in members {
-                        let safe = !subnet.is_root()
-                            && !self.nodes.keys().any(|k| subnet.is_ancestor_of(k));
-                        if safe {
-                            self.crash_node(&subnet)?;
+                        if self.crash_node(&subnet).is_ok() {
                             self.chaos.region_crashes += 1;
                         } else {
                             self.chaos.region_crash_skips += 1;
@@ -683,57 +653,73 @@ impl HierarchyRuntime {
             return Ok(());
         }
 
+        let from_epoch = Self::get_node_mut(&mut self.nodes, subnet)?.next_epoch;
+        self.publish_pull(
+            subnet,
+            now_ms,
+            BLOCK_PULL_JITTER_SALT,
+            |c| (&mut c.block_pulls, &mut c.block_pull_retries),
+            ResolutionMsg::BlockPull {
+                subnet: subnet.clone(),
+                from_epoch,
+                reply_topic: subnet.topic(),
+            },
+        )
+    }
+
+    /// The pull retry schedule of both catch-up legs: once the timeout
+    /// expires, re-arm an exhausted per-batch budget, or publish `pull`
+    /// and arm the next timeout (jitter salted by `salt`, counted in the
+    /// leg's `counters` pair of (pulls, retries)).
+    fn publish_pull(
+        &mut self,
+        subnet: &SubnetId,
+        now_ms: u64,
+        salt: u64,
+        counters: fn(&mut ChaosStats) -> (&mut u64, &mut u64),
+        pull: ResolutionMsg,
+    ) -> Result<(), RuntimeError> {
         let policy = self.config.retry;
         let Some(cu) = self.catching_up.get_mut(subnet) else {
             return Ok(());
         };
-        if now_ms >= cu.next_pull_at_ms {
-            if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
-                // The retry budget is *per batch* — `attempts` resets on
-                // every replayed block, so only the current round trip is
-                // exhausted. Cool down for the capped timeout and re-arm:
-                // a long blackout slows this batch down, it must never
-                // permanently abandon the batches behind it.
-                cu.attempts = 0;
-                cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
-                self.chaos.pull_budget_rearms += 1;
-                return Ok(());
-            }
-            cu.attempts += 1;
-            // Same deterministic seeded jitter as resolver pulls, salted
-            // per leg; with `jitter_pct == 0` this is exactly
-            // `timeout_for` (bit-identical to the un-jittered schedule).
-            cu.next_pull_at_ms = now_ms
-                + policy.jittered_timeout_for(
-                    cu.attempts,
-                    node_jitter_seed(self.config.seed, subnet),
-                    BLOCK_PULL_JITTER_SALT,
-                );
-            if cu.attempts > 1 {
-                self.chaos.block_pull_retries += 1;
-            }
-            self.chaos.block_pulls += 1;
-            let (from_epoch, own) = {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                (node.next_epoch, node.subscription)
-            };
-            // Published on the subnet's own topic with the node itself as
-            // origin but *not* excluded: in this single-process simulation
-            // the runtime stands in for the surviving peers, so the pull
-            // must come back through the (possibly faulty) network to be
-            // served. Asymmetric fault rules can still target the sender.
-            self.network.publish_from(
-                &subnet.topic(),
-                ResolutionMsg::BlockPull {
-                    subnet: subnet.clone(),
-                    from_epoch,
-                    reply_topic: subnet.topic(),
-                },
-                now_ms,
-                None,
-                Some(own),
-            );
+        if now_ms < cu.next_pull_at_ms {
+            return Ok(());
         }
+        if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
+            // The retry budget is *per batch* — `attempts` resets on every
+            // replayed block or accepted blob, so only the current round
+            // trip is exhausted. Cool down for the capped timeout and
+            // re-arm: a long blackout slows this batch down, it must never
+            // permanently abandon the batches behind it.
+            cu.attempts = 0;
+            cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
+            self.chaos.pull_budget_rearms += 1;
+            return Ok(());
+        }
+        cu.attempts += 1;
+        // Same deterministic seeded jitter as resolver pulls, salted per
+        // leg; with `jitter_pct == 0` this is exactly `timeout_for`
+        // (bit-identical to the un-jittered schedule).
+        cu.next_pull_at_ms = now_ms
+            + policy.jittered_timeout_for(
+                cu.attempts,
+                node_jitter_seed(self.config.seed, subnet),
+                salt,
+            );
+        let (pulls, retries) = counters(&mut self.chaos);
+        if cu.attempts > 1 {
+            *retries += 1;
+        }
+        *pulls += 1;
+        let own = Self::get_node_mut(&mut self.nodes, subnet)?.subscription;
+        // Published on the subnet's own topic with the node itself as
+        // origin but *not* excluded: in this single-process simulation the
+        // runtime stands in for the surviving peers, so the pull must come
+        // back through the (possibly faulty) network to be served.
+        // Asymmetric fault rules can still target the sender.
+        self.network
+            .publish_from(&subnet.topic(), pull, now_ms, None, Some(own));
         Ok(())
     }
 
@@ -787,46 +773,16 @@ impl HierarchyRuntime {
             return self.install_snapshot(subnet);
         }
 
-        let policy = self.config.retry;
-        let Some(cu) = self.catching_up.get_mut(subnet) else {
-            return Ok(());
-        };
-        if now_ms < cu.next_pull_at_ms {
-            return Ok(());
-        }
-        if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
-            // Same per-batch cool-down/re-arm as the block-pull leg.
-            cu.attempts = 0;
-            cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
-            self.chaos.pull_budget_rearms += 1;
-            return Ok(());
-        }
-        cu.attempts += 1;
-        // Seeded jitter, salted apart from the block-pull leg (see there).
-        cu.next_pull_at_ms = now_ms
-            + policy.jittered_timeout_for(
-                cu.attempts,
-                node_jitter_seed(self.config.seed, subnet),
-                BLOB_PULL_JITTER_SALT,
-            );
-        if cu.attempts > 1 {
-            self.chaos.blob_pull_retries += 1;
-        }
-        self.chaos.blob_pulls += 1;
-        let own = Self::get_node_mut(&mut self.nodes, subnet)?.subscription;
-        // As with block pulls: the request must cross the faulty network
-        // and come back to be served.
-        self.network.publish_from(
-            &subnet.topic(),
+        self.publish_pull(
+            subnet,
+            now_ms,
+            BLOB_PULL_JITTER_SALT,
+            |c| (&mut c.blob_pulls, &mut c.blob_pull_retries),
             ResolutionMsg::BlobPull {
                 cids: wanted,
                 reply_topic: subnet.topic(),
             },
-            now_ms,
-            None,
-            Some(own),
-        );
-        Ok(())
+        )
     }
 
     /// Installs a fully assembled snapshot: verifies the staged closure
@@ -845,12 +801,6 @@ impl HierarchyRuntime {
                 .snapshot
                 .as_ref()
                 .ok_or_else(|| RuntimeError::Execution("no snapshot in flight".into()))?;
-            let blob = sync.staging.get(&sync.manifest).ok_or_else(|| {
-                RuntimeError::Execution("snapshot manifest blob missing from staging".into())
-            })?;
-            let manifest = ChunkManifest::decode(&blob).ok_or_else(|| {
-                RuntimeError::Execution("snapshot manifest blob failed to decode".into())
-            })?;
             let anchor = cu
                 .peer_blocks
                 .iter()
@@ -861,18 +811,7 @@ impl HierarchyRuntime {
                         sync.anchor_epoch
                     ))
                 })?;
-            // The committed header is the trust root: chunks verified only
-            // against their CIDs could still be a consistent-but-wrong
-            // state, so the assembled root must match what the subnet's
-            // consensus finalized at the anchor.
-            if manifest.root != anchor.header.state_root {
-                return Err(RuntimeError::Execution(format!(
-                    "snapshot root {} does not match the committed header root {} at epoch {}",
-                    manifest.root, anchor.header.state_root, sync.anchor_epoch
-                )));
-            }
-            let tree = StateTree::from_manifest(&manifest, &sync.staging)
-                .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))?;
+            let tree = verified_snapshot(&sync.staging, &sync.manifest, anchor)?;
             // Adopt the manifest's full closure — fixed chunks AND every
             // account-HAMT node — so the node's store can serve the same
             // snapshot (and GC can pin it) after the swap.
@@ -894,33 +833,11 @@ impl HierarchyRuntime {
         {
             let node = Self::get_node_mut(&mut self.nodes, subnet)?;
             // The snapshot replaces execution, not history: every covered
-            // block still realigns the consensus RNG, the cross-net nonce
-            // cursors, and the mempool epoch exactly as a per-block replay
-            // would, so the node resumes mid-conversation with its parent.
+            // block still advances the node exactly as a per-block replay
+            // would (consensus draw, mempool epoch, cross-net cursors), so
+            // the node resumes mid-conversation with its parent.
             for block in &covered_blocks {
-                node.engine
-                    .next_block(block.header.epoch, &node.validators, &mut node.rng)
-                    .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
-                node.mempool.advance_epoch(block.header.epoch);
-                for m in &block.implicit_msgs {
-                    match m {
-                        ImplicitMsg::CommitChildCheckpoint { signed } => {
-                            node.pending_checkpoints
-                                .retain(|p| p.checkpoint != signed.checkpoint);
-                        }
-                        ImplicitMsg::CommitTurnaround { meta, .. } => {
-                            node.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                            node.unresolved_turnarounds.retain(|m2| m2 != meta);
-                        }
-                        ImplicitMsg::ApplyTopDown(cross) => {
-                            node.cross_pool.note_top_down_applied(cross.nonce);
-                        }
-                        ImplicitMsg::ApplyBottomUp { meta, .. } => {
-                            node.cross_pool.note_bottom_up_applied(meta);
-                        }
-                        _ => {}
-                    }
-                }
+                node.advance_past_block(block)?;
             }
             // Adopt the verified closure into the node's store so it can
             // serve future snapshot pulls itself (content-addressed puts
@@ -933,16 +850,8 @@ impl HierarchyRuntime {
             node.next_epoch = anchor_epoch.next();
             node.next_block_at_ms = u64::MAX;
         }
-        // Wallet nonce cursors advance past every covered user message.
         for block in &covered_blocks {
-            for m in &block.signed_msgs {
-                let (from, nonce) = (m.message().from, m.message().nonce);
-                if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
-                    if nonce.next() > w.next_nonce {
-                        w.next_nonce = nonce.next();
-                    }
-                }
-            }
+            self.advance_wallet_nonces(subnet, block);
         }
         let cu = self.catching_up.get_mut(subnet).expect("checked at entry");
         // Remember the covered prefix: a future crash of this node must
@@ -1121,18 +1030,7 @@ impl HierarchyRuntime {
                         }
                     }
                 }
-                VmEvent::CheckpointCommitted { outcome, .. } => {
-                    node.stats.checkpoints_committed += 1;
-                    for meta in outcome.applied_here {
-                        node.cross_pool.ingest_meta(meta);
-                    }
-                    node.unresolved_turnarounds.extend(outcome.turnaround);
-                }
-                VmEvent::CrossMsgApplied { msg } => {
-                    node.stats.cross_applied += 1;
-                    node.tentative.remove(&msg.cid());
-                }
-                _ => {}
+                other => node.apply_cross_event(other),
             }
         }
         Ok(())

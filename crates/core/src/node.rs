@@ -6,6 +6,11 @@
 //! converges to. Individual validators are represented by their keys (for
 //! block, justification, and checkpoint signatures); Byzantine behaviour is
 //! injected explicitly through the attack APIs (see `hc-sim`).
+//!
+//! The node also owns the node-local steps of the shared block-commit
+//! path: `SubnetNode::advance_past_block` (journal replay, recovery
+//! fast-forward and snapshot install) and `SubnetNode::apply_cross_event`
+//! (live routing and catch-up replay).
 
 use std::collections::BTreeMap;
 
@@ -13,11 +18,13 @@ use rand::rngs::StdRng;
 
 use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate};
-use hc_chain::{ChainStore, CrossMsgPool, Mempool};
-use hc_consensus::{Consensus, ValidatorSet};
+use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
+use hc_consensus::{BlockOpportunity, Consensus, ValidatorSet};
 use hc_net::{Resolver, SubscriberId};
-use hc_state::{CidStore, Receipt, SigCache, SigCacheStats, StateTree};
-use hc_types::{ChainEpoch, Cid, Keypair, SubnetId};
+use hc_state::{CidStore, ImplicitMsg, Receipt, SigCache, SigCacheStats, StateTree, VmEvent};
+use hc_types::{CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId};
+
+use crate::runtime::RuntimeError;
 
 /// Running counters for one subnet node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -242,6 +249,68 @@ impl SubnetNode {
             && self.pending_turnarounds.is_empty()
             && self.unresolved_turnarounds.is_empty()
             && self.tree.sca().window_is_value_empty()
+    }
+
+    /// Advances the node past a committed block, independently of its
+    /// execution: burns the consensus draw the live run made for it,
+    /// moves the mempool epoch, and updates the implicit-message cursors
+    /// (pending checkpoints and turnarounds, cross-net nonces). Returns the
+    /// opportunity, whose interval schedules the next block. Replay runs
+    /// this after executing a block; fast-forward and snapshot install
+    /// run it instead of execution.
+    pub(crate) fn advance_past_block(
+        &mut self,
+        block: &Block,
+    ) -> Result<BlockOpportunity, RuntimeError> {
+        let epoch = block.header.epoch;
+        let opportunity = self
+            .engine
+            .next_block(epoch, &self.validators, &mut self.rng)
+            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
+        self.mempool.advance_epoch(epoch);
+        for m in &block.implicit_msgs {
+            match m {
+                ImplicitMsg::CommitChildCheckpoint { signed } => {
+                    // The live run drained this from the pending queue when
+                    // it proposed the block; a replay re-queued it when the
+                    // child's checkpoint cut was replayed.
+                    self.pending_checkpoints
+                        .retain(|p| p.checkpoint != signed.checkpoint);
+                }
+                ImplicitMsg::CommitTurnaround { meta, .. } => {
+                    self.pending_turnarounds.retain(|(m2, _)| m2 != meta);
+                    self.unresolved_turnarounds.retain(|m2| m2 != meta);
+                }
+                ImplicitMsg::ApplyTopDown(cross) => {
+                    self.cross_pool.note_top_down_applied(cross.nonce);
+                }
+                ImplicitMsg::ApplyBottomUp { meta, .. } => {
+                    self.cross_pool.note_bottom_up_applied(meta);
+                }
+                _ => {}
+            }
+        }
+        Ok(opportunity)
+    }
+
+    /// The node-local effects of a block's cross-net events, the same live
+    /// and in catch-up: committed checkpoints queue the groups routed here,
+    /// and an applied message's payment stops being tentative.
+    pub(crate) fn apply_cross_event(&mut self, event: VmEvent) {
+        match event {
+            VmEvent::CheckpointCommitted { outcome, .. } => {
+                self.stats.checkpoints_committed += 1;
+                for meta in outcome.applied_here {
+                    self.cross_pool.ingest_meta(meta);
+                }
+                self.unresolved_turnarounds.extend(outcome.turnaround);
+            }
+            VmEvent::CrossMsgApplied { msg } => {
+                self.stats.cross_applied += 1;
+                self.tentative.remove(&msg.cid());
+            }
+            _ => {}
+        }
     }
 
     /// Clones the validator signing keys (adversarial simulation: a

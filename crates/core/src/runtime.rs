@@ -1,4 +1,12 @@
 //! The hierarchy runtime: spawning, stepping, and cross-net plumbing.
+//!
+//! Every block a node commits — produced live, replayed from the journal,
+//! fast-forwarded in recovery, or covered by a snapshot — goes through one
+//! set of helpers: `record_block`, `SubnetNode::advance_past_block`,
+//! `advance_wallet_nonces`, `verified_snapshot` and `genesis_node` (see
+//! DESIGN.md §13). What differs between callers stays at the call site;
+//! `ReplayMode` only picks recovery's `post_tick` or catch-up's node-local
+//! effects.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -14,9 +22,10 @@ use hc_chain::{
     execute_block_with, produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool,
     MempoolConfig, MempoolStats,
 };
-use hc_consensus::{make_engine, EngineParams, ValidatorSet};
+use hc_consensus::{make_engine, BlockOpportunity, Consensus, EngineParams, ValidatorSet};
 use hc_net::{
     NetConfig, Network, PullDecision, ResolutionMsg, Resolver, ResolverStats, RetryPolicy,
+    SubscriberId,
 };
 use hc_state::{
     ChunkManifest, CidStore, ImplicitMsg, Message, Method, Receipt, SealedMessage, SigCache,
@@ -280,6 +289,31 @@ pub(crate) fn node_jitter_seed(seed: u64, subnet: &SubnetId) -> u64 {
     )
 }
 
+/// Rebuilds a snapshot's state tree from the blobs in `store` and checks
+/// its root against the committed `anchor` block: chunks verified only by
+/// CID could still form a consistent-but-wrong state, so the header the
+/// subnet's consensus finalized is the trust root. Recovery fast-forward
+/// and snapshot rejoin both install through here.
+pub(crate) fn verified_snapshot(
+    store: &CidStore,
+    manifest: &Cid,
+    anchor: &Block,
+) -> Result<StateTree, RuntimeError> {
+    let blob = store
+        .get(manifest)
+        .ok_or_else(|| RuntimeError::Execution("snapshot manifest blob missing".into()))?;
+    let decoded = ChunkManifest::decode(&blob)
+        .ok_or_else(|| RuntimeError::Execution("snapshot manifest blob failed to decode".into()))?;
+    if decoded.root != anchor.header.state_root {
+        return Err(RuntimeError::Execution(format!(
+            "snapshot root {} does not match the committed header root {} at epoch {}",
+            decoded.root, anchor.header.state_root, anchor.header.epoch
+        )));
+    }
+    StateTree::from_manifest(&decoded, store)
+        .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))
+}
+
 /// What phase (a) of a tick — the pure per-subnet part — computed, to be
 /// applied to shared runtime state by phase (b).
 struct LocalOutcome {
@@ -298,6 +332,19 @@ struct ReplayLog {
     wal: Wal,
     records: Vec<Vec<u8>>,
     cursor: usize,
+}
+
+impl ReplayLog {
+    /// Opens `subnet`'s block WAL with the cursor at its first record.
+    fn open(durable: &DurableOptions, subnet: &SubnetId) -> Self {
+        let (wal, records) =
+            Wal::open(durable.device.clone(), &chain_log_name(subnet), durable.wal);
+        ReplayLog {
+            wal,
+            records,
+            cursor: 0,
+        }
+    }
 }
 
 /// Why a past block is being re-committed — see
@@ -430,10 +477,7 @@ impl HierarchyRuntime {
             rt.store
                 .attach_blob_log(BlobLog::open(durable.device.clone(), BLOB_LOG, durable.wal));
             let root = SubnetId::root();
-            let (wal, _) = Wal::open(durable.device.clone(), &chain_log_name(&root), durable.wal);
-            if let Some(node) = rt.nodes.get_mut(&root) {
-                node.chain.attach_wal(wal);
-            }
+            rt.attach_chain_journal(&root);
             // The root's boot-time placement predates the control log's
             // attachment; journal it now so recovery replays it.
             if let Some(region) = rt.region_assignments.get(&root).cloned() {
@@ -499,15 +543,7 @@ impl HierarchyRuntime {
         }
         let mut logs: BTreeMap<SubnetId, ReplayLog> = BTreeMap::new();
         let root = SubnetId::root();
-        let (wal, records) = Wal::open(durable.device.clone(), &chain_log_name(&root), durable.wal);
-        logs.insert(
-            root,
-            ReplayLog {
-                wal,
-                records,
-                cursor: 0,
-            },
-        );
+        logs.insert(root.clone(), ReplayLog::open(durable, &root));
         let mut applied = 0usize;
         for bytes in &control_records {
             let Ok(record) = ControlRecord::decode(bytes) else {
@@ -627,16 +663,7 @@ impl HierarchyRuntime {
                 if !self.nodes.contains_key(&child) {
                     return false;
                 }
-                let (wal, records) =
-                    Wal::open(durable.device.clone(), &chain_log_name(&child), durable.wal);
-                logs.insert(
-                    child,
-                    ReplayLog {
-                        wal,
-                        records,
-                        cursor: 0,
-                    },
-                );
+                logs.insert(child.clone(), ReplayLog::open(durable, &child));
                 true
             }
             ControlRecord::BlockCommitted { subnet, epoch } => {
@@ -694,6 +721,13 @@ impl HierarchyRuntime {
                 manifest,
             } => {
                 match self.fast_forward.get(&subnet).copied() {
+                    None => {
+                        // The persist already re-ran inside the replayed
+                        // block's checkpoint-cut routing; this anchor only
+                        // cross-checks it.
+                        return self.recent_manifests.get(&subnet).and_then(|w| w.back())
+                            == Some(&manifest);
+                    }
                     Some((target_epoch, target_manifest)) if epoch == target_epoch => {
                         // The fast-forward target: install the anchored
                         // snapshot and resume normal replay from here.
@@ -703,27 +737,16 @@ impl HierarchyRuntime {
                             return false;
                         }
                         self.fast_forward.remove(&subnet);
-                        self.checkpoint_anchors
-                            .insert(subnet.clone(), (epoch, manifest));
-                        self.track_manifest(&subnet, manifest);
-                        true
                     }
-                    Some(_) => {
-                        // A pre-target anchor inside the skipped prefix:
-                        // no persist ran to cross-check against, but the
-                        // GC window must advance exactly as it did live.
-                        self.checkpoint_anchors
-                            .insert(subnet.clone(), (epoch, manifest));
-                        self.track_manifest(&subnet, manifest);
-                        true
-                    }
-                    None => {
-                        // The persist already re-ran inside the replayed
-                        // block's checkpoint-cut routing; this anchor only
-                        // cross-checks it.
-                        self.recent_manifests.get(&subnet).and_then(|w| w.back()) == Some(&manifest)
-                    }
+                    // A pre-target anchor inside the skipped prefix: no
+                    // persist ran to cross-check against, but the GC window
+                    // must advance exactly as it did live.
+                    Some(_) => {}
                 }
+                self.checkpoint_anchors
+                    .insert(subnet.clone(), (epoch, manifest));
+                self.track_manifest(&subnet, manifest);
+                true
             }
             ControlRecord::RegionAssigned { subnet, region } => {
                 // Boot-time policy placement already re-ran inside the
@@ -749,11 +772,6 @@ impl HierarchyRuntime {
         self.refresh_validators(subnet);
         let at_ms = block.header.timestamp_ms;
         let epoch = block.header.epoch;
-        let nonces: Vec<(Address, Nonce)> = block
-            .signed_msgs
-            .iter()
-            .map(|m| (m.message().from, m.message().nonce))
-            .collect();
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         if epoch != node.next_epoch {
             return Err(RuntimeError::Execution(format!(
@@ -761,80 +779,37 @@ impl HierarchyRuntime {
                 node.next_epoch
             )));
         }
-        // Burn the consensus draw the live run made for this block.
-        let opportunity = node
-            .engine
-            .next_block(epoch, &node.validators, &mut node.rng)
-            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
         node.chain
             .append_recovered(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        node.mempool.advance_epoch(epoch);
+        let opportunity = node.advance_past_block(&block)?;
         node.next_block_at_ms = at_ms + opportunity.interval_ms;
         node.next_epoch = epoch.next();
-        for m in &block.implicit_msgs {
-            match m {
-                ImplicitMsg::CommitChildCheckpoint { signed } => {
-                    node.pending_checkpoints
-                        .retain(|p| p.checkpoint != signed.checkpoint);
-                }
-                ImplicitMsg::CommitTurnaround { meta, .. } => {
-                    node.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                    node.unresolved_turnarounds.retain(|m2| m2 != meta);
-                }
-                ImplicitMsg::ApplyTopDown(cross) => {
-                    node.cross_pool.note_top_down_applied(cross.nonce);
-                }
-                ImplicitMsg::ApplyBottomUp { meta, .. } => {
-                    node.cross_pool.note_bottom_up_applied(meta);
-                }
-                _ => {}
-            }
-        }
-        // Wallet nonce cursors advance past every journaled user message.
-        for (from, nonce) in nonces {
-            if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
-                if nonce.next() > w.next_nonce {
-                    w.next_nonce = nonce.next();
-                }
-            }
-        }
+        self.advance_wallet_nonces(subnet, &block);
         self.now_ms = self.now_ms.max(at_ms);
         Ok(())
     }
 
-    /// Installs a fast-forward target during recovery: decodes the
-    /// anchored manifest from the blob store, rebuilds the state tree
-    /// from its closure, and verifies the root against the committed
-    /// header of the (fast-forwarded) block at the anchor epoch. Returns
-    /// `false` when anything fails to verify — the caller stops replay
-    /// there and recovery falls back to full replay.
+    /// Installs a fast-forward target during recovery: rebuilds the
+    /// anchored snapshot from the blob store and verifies it against the
+    /// (fast-forwarded) block at the anchor epoch. Returns `false` when
+    /// anything fails to verify — the caller stops replay there and
+    /// recovery falls back to full replay.
     fn install_fast_forward(
         &mut self,
         subnet: &SubnetId,
         epoch: ChainEpoch,
         manifest: Cid,
     ) -> bool {
-        let Some(blob) = self.store.get(&manifest) else {
-            return false;
-        };
-        let Some(decoded) = ChunkManifest::decode(&blob) else {
-            return false;
-        };
-        let Ok(tree) = StateTree::from_manifest(&decoded, &self.store) else {
-            return false;
-        };
         let Some(node) = self.nodes.get_mut(subnet) else {
             return false;
         };
-        let header_root = node
-            .chain
-            .iter()
-            .find(|b| b.header.epoch == epoch)
-            .map(|b| b.header.state_root);
-        if header_root != Some(decoded.root) {
+        let Some(anchor) = node.chain.iter().find(|b| b.header.epoch == epoch) else {
             return false;
-        }
+        };
+        let Ok(tree) = verified_snapshot(&self.store, &manifest, anchor) else {
+            return false;
+        };
         node.tree = tree;
         node.stats.state_persists += 1;
         true
@@ -842,11 +817,11 @@ impl HierarchyRuntime {
 
     /// Re-commits one past block against a node: re-executes it (verifying
     /// the recomputed state root against the header), re-appends it
-    /// without re-journaling, and repeats every bookkeeping step the live
-    /// [`HierarchyRuntime::produce_local`] performed — engine and RNG
-    /// draws included, so the node's randomness stream stays aligned with
-    /// history. [`ReplayMode::Recovery`] (crash-restart replay from the
-    /// journal) routes the block's effects through the full
+    /// without re-journaling, and repeats the live commit bookkeeping
+    /// through the same helpers — engine and RNG draws included, so the
+    /// node's randomness stream stays aligned with history.
+    /// [`ReplayMode::Recovery`] (crash-restart replay from the journal)
+    /// routes the block's effects through the full
     /// [`HierarchyRuntime::post_tick`]; [`ReplayMode::CatchUp`] (a live
     /// rejoined node resyncing while the rest of the hierarchy has moved
     /// on) applies only node-local effects — every outward effect of the
@@ -868,11 +843,6 @@ impl HierarchyRuntime {
                 node.next_epoch
             )));
         }
-        // Burn the consensus draw the live run made for this block.
-        let opportunity = node
-            .engine
-            .next_block(epoch, &node.validators, &mut node.rng)
-            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
         node.engine
             .validate_block(&block, &node.validators)
             .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
@@ -888,111 +858,32 @@ impl HierarchyRuntime {
         node.chain
             .append_recovered(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        node.mempool.advance_epoch(epoch);
-
-        let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
-        node.stats.blocks += 1;
-        node.stats.gas_used += gas_used;
-        node.stats.total_interval_ms += opportunity.interval_ms;
-        node.stats.orphaned += u64::from(opportunity.orphaned);
-        node.stats.extra_rounds += u64::from(opportunity.rounds.saturating_sub(1));
-        node.next_block_at_ms = at_ms + opportunity.interval_ms;
-        node.next_epoch = epoch.next();
-        for (i, r) in receipts.iter().enumerate() {
-            if i >= block.implicit_msgs.len() {
-                if r.exit.is_ok() {
-                    node.stats.user_msgs_ok += 1;
-                } else {
-                    node.stats.user_msgs_failed += 1;
-                }
+        let opportunity = node.advance_past_block(&block)?;
+        let outcome = Self::record_block(node, &block, receipts, &opportunity);
+        self.advance_wallet_nonces(subnet, &block);
+        match mode {
+            ReplayMode::Recovery => {
+                self.now_ms = self.now_ms.max(at_ms);
+                self.post_tick(subnet, outcome, at_ms)?;
+            }
+            ReplayMode::CatchUp => {
+                self.catch_up_effects(subnet, outcome.events)?;
             }
         }
+        Ok(())
+    }
 
-        node.last_receipts.clear();
-        let mut committed_checkpoints = Vec::new();
-        for (i, m) in block.implicit_msgs.iter().enumerate() {
-            match m {
-                ImplicitMsg::CommitChildCheckpoint { signed } => {
-                    node.stats.checkpoint_bytes += signed.checkpoint.encoded_size() as u64;
-                    if receipts[i].exit.is_ok() {
-                        committed_checkpoints.push(signed.clone());
-                    }
-                    // The live run drained this from the pending queue when
-                    // it proposed the block; replay re-queued it when the
-                    // child's checkpoint cut was replayed.
-                    node.pending_checkpoints
-                        .retain(|p| p.checkpoint != signed.checkpoint);
-                }
-                ImplicitMsg::CommitTurnaround { meta, .. } => {
-                    node.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                    node.unresolved_turnarounds.retain(|m2| m2 != meta);
-                }
-                ImplicitMsg::ApplyTopDown(cross) => {
-                    node.cross_pool.note_top_down_applied(cross.nonce);
-                }
-                ImplicitMsg::ApplyBottomUp { meta, .. } => {
-                    node.cross_pool.note_bottom_up_applied(meta);
-                }
-                _ => {}
-            }
-            node.last_receipts.insert(m.cid(), receipts[i].clone());
-        }
-        for (i, m) in block.signed_msgs.iter().enumerate() {
-            node.last_receipts
-                .insert(m.msg_cid(), receipts[block.implicit_msgs.len() + i].clone());
-        }
-
-        let mut archived = Vec::new();
-        for signed in committed_checkpoints {
-            let policy = signed
-                .checkpoint
-                .source
-                .actor()
-                .and_then(|a| node.tree.sa(a).map(hc_actors::SaState::signature_policy));
-            if let Some(policy) = policy {
-                archived.push((signed, policy));
-            }
-        }
-        let events: Vec<VmEvent> = receipts.into_iter().flat_map(|r| r.events).collect();
-        let msg_count = block.msg_count();
-        let nonces: Vec<(Address, Nonce)> = block
-            .signed_msgs
-            .iter()
-            .map(|m| (m.message().from, m.message().nonce))
-            .collect();
-
-        // Wallet nonce cursors advance past every journaled user message.
-        for (from, nonce) in nonces {
+    /// Wallet nonce cursors advance past every user message of a block
+    /// re-committed from history (replayed, fast-forwarded, or covered).
+    pub(crate) fn advance_wallet_nonces(&mut self, subnet: &SubnetId, block: &Block) {
+        for m in &block.signed_msgs {
+            let (from, nonce) = (m.message().from, m.message().nonce);
             if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
                 if nonce.next() > w.next_nonce {
                     w.next_nonce = nonce.next();
                 }
             }
         }
-        match mode {
-            ReplayMode::Recovery => {
-                self.now_ms = self.now_ms.max(at_ms);
-                self.post_tick(
-                    subnet,
-                    LocalOutcome {
-                        report: StepReport {
-                            subnet: subnet.clone(),
-                            epoch,
-                            at_ms,
-                            msgs: msg_count,
-                            gas_used,
-                        },
-                        archived,
-                        events,
-                    },
-                    at_ms,
-                )?;
-            }
-            ReplayMode::CatchUp => {
-                self.catch_up_effects(subnet, events)?;
-            }
-        }
-        Ok(())
     }
 
     /// Builds the in-memory hierarchy skeleton (rootnet only), without
@@ -1034,49 +925,10 @@ impl HierarchyRuntime {
             validator_keys.push(key);
         }
 
-        let store = CidStore::new();
-        let tree = StateTree::genesis(root.clone(), config.sca.clone(), []);
         let subscription = network.subscribe(&root.topic());
-        let engine = make_engine(
-            hc_consensus::ConsensusKind::RoundRobin,
-            config.engine_params.clone(),
-        );
-        let sig_cache = Self::make_sig_cache(config.sig_cache_capacity);
-        let node = SubnetNode {
-            subnet_id: root.clone(),
-            tree,
-            chain: ChainStore::new(root.clone()),
-            mempool: match &sig_cache {
-                Some(c) => Mempool::with_config(config.mempool).with_sig_cache(c.clone()),
-                None => Mempool::with_config(config.mempool),
-            },
-            cross_pool: CrossMsgPool::new(),
-            engine,
-            validators: ValidatorSet::new(validators),
-            validator_keys,
-            resolver: Resolver::with_policy_seeded(
-                config.retry,
-                node_jitter_seed(config.seed, &root),
-            ),
-            subscription,
-            next_block_at_ms: config.engine_params.block_time_ms,
-            next_epoch: ChainEpoch::new(1),
-            pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
-            tentative: BTreeMap::new(),
-            store: store.clone(),
-            stats: NodeStats::default(),
-            rng: node_rng(config.seed, &root),
-            sig_cache,
-        };
-
-        let mut nodes = BTreeMap::new();
-        nodes.insert(root.clone(), node);
         let mut rt = HierarchyRuntime {
             config,
-            nodes,
+            nodes: BTreeMap::new(),
             network,
             now_ms: 0,
             next_user_id: 100,
@@ -1084,7 +936,7 @@ impl HierarchyRuntime {
             events: VecDeque::new(),
             root_minted: TokenAmount::ZERO,
             archive: crate::archive::CheckpointArchive::default(),
-            store,
+            store: CidStore::new(),
             recovering: false,
             control_wal: None,
             recent_manifests: BTreeMap::new(),
@@ -1102,8 +954,75 @@ impl HierarchyRuntime {
             region_outage_plan,
             cut_checkpoints: BTreeMap::new(),
         };
+        let mut node = rt.genesis_node(
+            &root,
+            rt.config.sca.checkpoint_period,
+            make_engine(
+                hc_consensus::ConsensusKind::RoundRobin,
+                rt.config.engine_params.clone(),
+            ),
+            Mempool::with_config(rt.config.mempool),
+            subscription,
+            rt.config.engine_params.block_time_ms,
+        );
+        node.validators = ValidatorSet::new(validators);
+        node.validator_keys = validator_keys;
+        rt.nodes.insert(root.clone(), node);
         rt.assign_boot_region(&root);
         rt
+    }
+
+    /// Builds a node at genesis: the one constructor behind root boot,
+    /// child boot and crash rejoin. It has no validators yet (the caller
+    /// installs or refreshes them) and the subnet's seeded randomness
+    /// stream, which a rejoined node's catch-up realigns by burning one
+    /// draw per missed block. `mempool` is attached to the node's own
+    /// fresh signature cache, so admissions warm the cache that block
+    /// production consults.
+    pub(crate) fn genesis_node(
+        &self,
+        subnet: &SubnetId,
+        checkpoint_period: u64,
+        engine: Box<dyn Consensus>,
+        mempool: Mempool,
+        subscription: SubscriberId,
+        next_block_at_ms: u64,
+    ) -> SubnetNode {
+        let sca = ScaConfig {
+            checkpoint_period,
+            ..self.config.sca.clone()
+        };
+        let capacity = self.config.sig_cache_capacity;
+        let sig_cache = (capacity > 0).then(|| SigCache::new(capacity));
+        SubnetNode {
+            subnet_id: subnet.clone(),
+            tree: StateTree::genesis(subnet.clone(), sca, []),
+            chain: ChainStore::new(subnet.clone()),
+            mempool: match &sig_cache {
+                Some(c) => mempool.with_sig_cache(c.clone()),
+                None => mempool,
+            },
+            cross_pool: CrossMsgPool::new(),
+            engine,
+            validators: ValidatorSet::default(),
+            validator_keys: Vec::new(),
+            resolver: Resolver::with_policy_seeded(
+                self.config.retry,
+                node_jitter_seed(self.config.seed, subnet),
+            ),
+            subscription,
+            next_block_at_ms,
+            next_epoch: ChainEpoch::new(1),
+            pending_checkpoints: Vec::new(),
+            pending_turnarounds: Vec::new(),
+            unresolved_turnarounds: Vec::new(),
+            last_receipts: BTreeMap::new(),
+            tentative: BTreeMap::new(),
+            store: self.store.clone(),
+            stats: NodeStats::default(),
+            rng: node_rng(self.config.seed, subnet),
+            sig_cache,
+        }
     }
 
     /// Assigns a freshly booted node to a region per the placement policy
@@ -1145,6 +1064,18 @@ impl HierarchyRuntime {
         }
         self.region_assignments
             .insert(subnet.clone(), region.to_owned());
+    }
+
+    /// On a durable device, attaches `subnet`'s block journal to its
+    /// node's chain: committed blocks write through from here on.
+    pub(crate) fn attach_chain_journal(&mut self, subnet: &SubnetId) {
+        let Some(durable) = self.config.persistence.durable() else {
+            return;
+        };
+        let (wal, _) = Wal::open(durable.device.clone(), &chain_log_name(subnet), durable.wal);
+        if let Some(node) = self.nodes.get_mut(subnet) {
+            node.chain.attach_wal(wal);
+        }
     }
 
     /// Appends a control record to the runtime's control log. A no-op when
@@ -1227,12 +1158,6 @@ impl HierarchyRuntime {
     /// The persistence device the runtime journals to, if durable.
     pub fn persistence_device(&self) -> Option<Arc<dyn Persistence>> {
         self.config.persistence.durable().map(|d| d.device.clone())
-    }
-
-    /// Builds a node-local verified-signature cache, or `None` when the
-    /// configured capacity is zero (cache disabled).
-    pub(crate) fn make_sig_cache(capacity: usize) -> Option<SigCache> {
-        (capacity > 0).then(|| SigCache::new(capacity))
     }
 
     /// Current virtual time in milliseconds.
@@ -1824,16 +1749,7 @@ impl HierarchyRuntime {
 
         // 4. Boot the child chain.
         self.boot_child_node(&child_id, &boot_config, &engine_params);
-        if let Some(durable) = self.config.persistence.durable().cloned() {
-            let (wal, _) = Wal::open(
-                durable.device.clone(),
-                &chain_log_name(&child_id),
-                durable.wal,
-            );
-            if let Some(node) = self.nodes.get_mut(&child_id) {
-                node.chain.attach_wal(wal);
-            }
-        }
+        self.attach_chain_journal(&child_id);
         self.journal(&ControlRecord::SubnetBoot {
             child: child_id.clone(),
             config: boot_config,
@@ -1863,46 +1779,18 @@ impl HierarchyRuntime {
         let Some(parent) = child_id.parent() else {
             return;
         };
-        let sca_config = ScaConfig {
-            checkpoint_period: config.checkpoint_period,
-            ..self.config.sca.clone()
-        };
-        let tree = StateTree::genesis(child_id.clone(), sca_config, []);
         let subscription = self.network.subscribe(&child_id.topic());
         // Child nodes also run full nodes on the parent (paper §II): they
         // follow the parent's topic for resolution traffic.
         self.network.join(subscription, &parent.topic());
-        let engine = make_engine(config.consensus, engine_params.clone());
-        let sig_cache = Self::make_sig_cache(self.config.sig_cache_capacity);
-        let node = SubnetNode {
-            subnet_id: child_id.clone(),
-            tree,
-            chain: ChainStore::new(child_id.clone()),
-            mempool: match &sig_cache {
-                Some(c) => Mempool::with_config(self.config.mempool).with_sig_cache(c.clone()),
-                None => Mempool::with_config(self.config.mempool),
-            },
-            cross_pool: CrossMsgPool::new(),
-            engine,
-            validators: ValidatorSet::default(),
-            validator_keys: Vec::new(),
-            resolver: Resolver::with_policy_seeded(
-                self.config.retry,
-                node_jitter_seed(self.config.seed, child_id),
-            ),
+        let node = self.genesis_node(
+            child_id,
+            config.checkpoint_period,
+            make_engine(config.consensus, engine_params.clone()),
+            Mempool::with_config(self.config.mempool),
             subscription,
-            next_block_at_ms: self.now_ms + engine_params.block_time_ms,
-            next_epoch: ChainEpoch::new(1),
-            pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
-            tentative: BTreeMap::new(),
-            store: self.store.clone(),
-            stats: NodeStats::default(),
-            rng: node_rng(self.config.seed, child_id),
-            sig_cache,
-        };
+            self.now_ms + engine_params.block_time_ms,
+        );
         self.nodes.insert(child_id.clone(), node);
         // Remembered so a crashed node can be rebuilt from genesis at
         // rejoin ([`HierarchyRuntime::rejoin_node`]).
@@ -2763,8 +2651,27 @@ impl HierarchyRuntime {
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         node.mempool.advance_epoch(epoch);
 
-        // Update stats and schedule the next block.
-        let gas_used: u64 = executed.receipts.iter().map(|r| r.gas_used).sum();
+        Ok(Self::record_block(
+            node,
+            &block,
+            executed.receipts,
+            &opportunity,
+        ))
+    }
+
+    /// The bookkeeping every executed block gets, live or replayed: stats,
+    /// the next-block schedule, receipts by message CID, and the
+    /// [`LocalOutcome`] (committed checkpoints with their signature
+    /// policy, events) its effects are applied from.
+    fn record_block(
+        node: &mut SubnetNode,
+        block: &Block,
+        receipts: Vec<Receipt>,
+        opportunity: &BlockOpportunity,
+    ) -> LocalOutcome {
+        let at_ms = block.header.timestamp_ms;
+        let epoch = block.header.epoch;
+        let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
         node.stats.blocks += 1;
         node.stats.gas_used += gas_used;
         node.stats.total_interval_ms += opportunity.interval_ms;
@@ -2772,71 +2679,53 @@ impl HierarchyRuntime {
         node.stats.extra_rounds += u64::from(opportunity.rounds.saturating_sub(1));
         node.next_block_at_ms = at_ms + opportunity.interval_ms;
         node.next_epoch = epoch.next();
-        for (i, r) in executed.receipts.iter().enumerate() {
-            if i >= block.implicit_msgs.len() {
-                if r.exit.is_ok() {
-                    node.stats.user_msgs_ok += 1;
-                } else {
-                    node.stats.user_msgs_failed += 1;
-                }
+        let implicit = block.implicit_msgs.len();
+        for r in receipts.iter().skip(implicit) {
+            if r.exit.is_ok() {
+                node.stats.user_msgs_ok += 1;
+            } else {
+                node.stats.user_msgs_failed += 1;
             }
         }
 
-        // Remember receipts by message CID (for `execute`) and account
-        // committed checkpoint bytes (parent-chain load, experiment E3).
+        // Remember receipts by message CID and account committed
+        // checkpoint bytes (parent-chain load, experiment E3).
         node.last_receipts.clear();
-        let mut committed_checkpoints = Vec::new();
-        for (i, m) in block.implicit_msgs.iter().enumerate() {
+        let mut archived = Vec::new();
+        for (m, r) in block.implicit_msgs.iter().zip(&receipts) {
             if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
                 node.stats.checkpoint_bytes += signed.checkpoint.encoded_size() as u64;
-                if executed.receipts[i].exit.is_ok() {
-                    committed_checkpoints.push(signed.clone());
+                if r.exit.is_ok() {
+                    // Snapshot the signature policy in force at commit time
+                    // so the archive stays verifiable across validator
+                    // churn. The policy lives in this node's own copy of
+                    // the child's Subnet Actor.
+                    let policy =
+                        signed.checkpoint.source.actor().and_then(|a| {
+                            node.tree.sa(a).map(hc_actors::SaState::signature_policy)
+                        });
+                    if let Some(policy) = policy {
+                        archived.push((signed.clone(), policy));
+                    }
                 }
             }
-            node.last_receipts
-                .insert(m.cid(), executed.receipts[i].clone());
+            node.last_receipts.insert(m.cid(), r.clone());
         }
-        for (i, m) in block.signed_msgs.iter().enumerate() {
-            node.last_receipts.insert(
-                m.msg_cid(),
-                executed.receipts[block.implicit_msgs.len() + i].clone(),
-            );
+        for (m, r) in block.signed_msgs.iter().zip(receipts.iter().skip(implicit)) {
+            node.last_receipts.insert(m.msg_cid(), r.clone());
         }
 
-        let mut archived = Vec::new();
-        for signed in committed_checkpoints {
-            // Snapshot the signature policy in force at commit time so the
-            // archive stays verifiable across validator churn. The policy
-            // lives in this node's own copy of the child's Subnet Actor.
-            let policy = signed
-                .checkpoint
-                .source
-                .actor()
-                .and_then(|a| node.tree.sa(a).map(hc_actors::SaState::signature_policy));
-            if let Some(policy) = policy {
-                archived.push((signed, policy));
-            }
-        }
-
-        // Collect the block's events for phase (b) to route.
-        let events: Vec<VmEvent> = executed
-            .receipts
-            .into_iter()
-            .flat_map(|r| r.events)
-            .collect();
-        let msg_count = block.msg_count();
-
-        Ok(LocalOutcome {
+        LocalOutcome {
             report: StepReport {
-                subnet,
+                subnet: node.subnet_id.clone(),
                 epoch,
                 at_ms,
-                msgs: msg_count,
+                msgs: block.msg_count(),
                 gas_used,
             },
             archived,
-            events,
-        })
+            events: receipts.into_iter().flat_map(|r| r.events).collect(),
+        }
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
@@ -2973,13 +2862,8 @@ impl HierarchyRuntime {
                 self.track_manifest(subnet, manifest);
             }
 
-            VmEvent::CheckpointCommitted { outcome, .. } => {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                node.stats.checkpoints_committed += 1;
-                for meta in outcome.applied_here {
-                    node.cross_pool.ingest_meta(meta);
-                }
-                node.unresolved_turnarounds.extend(outcome.turnaround);
+            event @ (VmEvent::CheckpointCommitted { .. } | VmEvent::CrossMsgApplied { .. }) => {
+                Self::get_node_mut(&mut self.nodes, subnet)?.apply_cross_event(event);
             }
 
             VmEvent::CrossMsgQueued { msg }
@@ -3008,13 +2892,6 @@ impl HierarchyRuntime {
                     None,
                     Some(node.subscription),
                 );
-            }
-
-            VmEvent::CrossMsgApplied { msg } => {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                node.stats.cross_applied += 1;
-                // A settled payment is no longer tentative.
-                node.tentative.remove(&msg.cid());
             }
 
             // Remaining events are informational; reverts ride the normal

@@ -109,6 +109,35 @@ fn crash_halts_production_and_rejoin_catches_up() {
     audit_quiescent(&w.rt).unwrap();
 }
 
+/// A rejoined node's restored mempool admits into the node's own
+/// verified-signature cache: a message submitted after the rejoin is
+/// fully verified once, at admission, and block production hits the
+/// cache instead of verifying it a second time.
+#[test]
+fn rejoined_node_admissions_warm_its_own_sig_cache() {
+    let mut w = build(RuntimeConfig::default(), SaConfig::default());
+    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
+    let carol = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
+    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
+    w.rt.run_until_quiescent(2_000).unwrap();
+
+    w.rt.crash_node(&w.child).unwrap();
+    w.rt.rejoin_node(&w.child).unwrap();
+    while w.rt.is_catching_up(&w.child) {
+        w.rt.step().unwrap();
+    }
+    let before = w.rt.node(&w.child).unwrap().sig_cache_stats();
+    w.rt.submit(&bob, carol.addr, whole(1), hc_state::Method::Send)
+        .unwrap();
+    w.rt.tick_subnet(&w.child).unwrap();
+    let after = w.rt.node(&w.child).unwrap().sig_cache_stats();
+    assert_eq!(w.rt.balance(&carol), whole(1), "the message was included");
+    assert!(
+        after.hits > before.hits,
+        "block production must hit the cache admission warmed: {before:?} -> {after:?}"
+    );
+}
+
 /// The F9 headline: a run whose child crashes mid-epoch and rejoins
 /// reconverges to the *same* state roots as the uninterrupted run of the
 /// same seed. Checkpointing is disabled (huge period) so the state

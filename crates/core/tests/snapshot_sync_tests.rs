@@ -17,7 +17,7 @@ use hc_core::{
     UserHandle,
 };
 use hc_net::{FaultPlan, NetConfig, Partition, PartitionPolicy, RetryPolicy};
-use hc_state::ChunkManifest;
+use hc_state::{ChunkManifest, ImplicitMsg, Method};
 use hc_store::{InMemoryDevice, WalOptions};
 use hc_types::{ChainEpoch, Cid, SubnetId, TokenAmount};
 
@@ -165,6 +165,97 @@ fn snapshot_rejoin_state_matches_replay_rejoin() {
     assert_eq!(
         root_snap, root_replay,
         "snapshot bootstrap must land on the exact replay state"
+    );
+}
+
+/// Bookkeeping exactness of the covered prefix: a snapshot rejoin applies
+/// the blocks at or below the anchor without executing them — top-down
+/// applications included — and must leave the node exactly where
+/// re-executing them does: the same next epoch and cross-net cursors,
+/// wallet nonces the chain still accepts, and the same state 20 blocks
+/// later.
+#[test]
+fn snapshot_rejoin_bookkeeping_matches_replay_rejoin() {
+    let run = |mode: SyncMode| {
+        // Anchor at 30, crash at 32, compare at 52: no checkpoint cut
+        // (whose proof CID embeds post-rejoin timestamps) after the crash.
+        let sa = SaConfig {
+            checkpoint_period: 30,
+            ..SaConfig::default()
+        };
+        let mut w = build(RuntimeConfig::default(), sa);
+        let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
+        let carol = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
+        w.rt.cross_transfer(&w.alice, &bob, whole(20)).unwrap();
+        w.rt.cross_transfer(&w.alice, &carol, whole(20)).unwrap();
+        w.rt.run_until_quiescent(2_000).unwrap();
+        w.rt.execute(&bob, carol.addr, whole(2), Method::Send)
+            .unwrap();
+        drive_to_epoch(&mut w.rt, &w.child, 32);
+        let (anchor, _) = w.rt.checkpoint_anchor(&w.child).expect("cut at epoch 30");
+        assert_eq!(anchor, ChainEpoch::new(30));
+        let covered_top_down =
+            w.rt.node(&w.child)
+                .unwrap()
+                .chain()
+                .iter()
+                .filter(|b| b.header.epoch <= anchor)
+                .flat_map(|b| &b.implicit_msgs)
+                .filter(|m| matches!(m, ImplicitMsg::ApplyTopDown(_)))
+                .count();
+        assert_eq!(covered_top_down, 2, "the covered prefix applies top-down");
+
+        w.rt.crash_node(&w.child).unwrap();
+        // Queued at the parent while the child is dark.
+        w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();
+        w.rt.rejoin_node_with(&w.child, mode).unwrap();
+        while w.rt.is_catching_up(&w.child) {
+            w.rt.step().unwrap();
+        }
+        let node = w.rt.node(&w.child).unwrap();
+        let head = node.chain().head_epoch();
+        let pool = node.cross_pool();
+        let cursors = (
+            pool.next_top_down_nonce(),
+            pool.pending_top_down(),
+            pool.pending_bottom_up(),
+            node.pending_checkpoint_count(),
+            node.pending_turnaround_count(),
+        );
+
+        // The next block lands at the next epoch.
+        let report = w.rt.tick_subnet(&w.child).unwrap();
+        assert_eq!(report.epoch, head.next());
+        // Every wallet signs with the nonce the chain expects next.
+        w.rt.execute(&bob, carol.addr, whole(1), Method::Send)
+            .unwrap();
+        w.rt.execute(&carol, bob.addr, whole(3), Method::Send)
+            .unwrap();
+
+        let later = head.value() + 20;
+        drive_to_epoch(&mut w.rt, &w.child, later);
+        (
+            w.rt.chaos_stats().snapshot_installs,
+            head,
+            cursors,
+            state_root_at(&w.rt, &w.child, later),
+            (w.rt.balance(&bob), w.rt.balance(&carol)),
+        )
+    };
+
+    let (installs_replay, head_replay, cursors_replay, root_replay, balances_replay) =
+        run(SyncMode::Replay);
+    let (installs_snap, head_snap, cursors_snap, root_snap, balances_snap) =
+        run(SyncMode::Snapshot);
+    assert_eq!(installs_replay, 0);
+    assert_eq!(installs_snap, 1);
+    assert_eq!(head_snap, head_replay);
+    assert_eq!(cursors_snap, cursors_replay);
+    assert_eq!(balances_replay, (whole(25), whole(20)));
+    assert_eq!(balances_snap, balances_replay);
+    assert_eq!(
+        root_snap, root_replay,
+        "covered-block bookkeeping must leave the snapshot node on the replay state"
     );
 }
 
